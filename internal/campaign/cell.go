@@ -87,6 +87,25 @@ func (g *Grid) CellFingerprint(spec CellSpec) kernel.Fingerprint {
 	return fp.Sum()
 }
 
+// cellExperiment returns g with its defaults applied, the experiment
+// that runs spec's cell of it, and the cell's result record, still
+// without a summary.
+func cellExperiment(g Grid, spec CellSpec, runWorkers int) (Grid, core.Experiment, Cell) {
+	q := g.withDefaults()
+	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
+	e.Iterations = spec.Iterations
+	e.Nodes = spec.Nodes
+	e.Runs = q.Runs
+	e.BaseSeed = q.BaseSeed
+	e.CaptureStacks = q.CaptureStacks
+	e.Workers = runWorkers
+	cell := Cell{
+		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
+		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
+	}
+	return q, e, cell
+}
+
 // RunCell executes one grid cell of g and reduces it to its summary.
 // Failures are recorded in Cell.Err, not returned: a cell is an
 // independent measurement and its caller (the Runner's pool, or a
@@ -95,18 +114,7 @@ func (g *Grid) CellFingerprint(spec CellSpec) kernel.Fingerprint {
 // core); batch layers that already parallelize across cells pass their
 // per-cell budget.
 func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
-	q := g.withDefaults()
-	cell := Cell{
-		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
-		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
-	}
-	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
-	e.Iterations = spec.Iterations
-	e.Nodes = spec.Nodes
-	e.Runs = q.Runs
-	e.BaseSeed = q.BaseSeed
-	e.CaptureStacks = q.CaptureStacks
-	e.Workers = runWorkers
+	q, e, cell := cellExperiment(g, spec, runWorkers)
 	rs, err := e.ExecuteContext(ctx)
 	if err != nil {
 		cell.Err = err
@@ -131,18 +139,7 @@ func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
 // codec tunes archived-trace compression (zero = format default); the
 // worker count never changes archived bytes.
 func RunCellStream(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
-	q := g.withDefaults()
-	cell := Cell{
-		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
-		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
-	}
-	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
-	e.Iterations = spec.Iterations
-	e.Nodes = spec.Nodes
-	e.Runs = q.Runs
-	e.BaseSeed = q.BaseSeed
-	e.CaptureStacks = q.CaptureStacks
-	e.Workers = runWorkers
+	q, e, cell := cellExperiment(g, spec, runWorkers)
 	e.Codec = codec
 	dir := ""
 	if archiveDir != "" {

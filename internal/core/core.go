@@ -207,13 +207,35 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 		Graphs:     make([]*graph.Graph, e.Runs),
 		Stats:      make([]*sim.Stats, e.Runs),
 	}
-	workers := e.Workers
+	err = forEachRun(ctx, e.Runs, e.Workers, func(ctx context.Context, i int) error {
+		tr, stats, err := sim.RunContext(ctx, e.config(i, pat), meta, adapted)
+		if err != nil {
+			return err
+		}
+		g, err := graph.FromTrace(tr)
+		if err != nil {
+			return err
+		}
+		rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// forEachRun calls fn(ctx, i) for every run index on a pool of workers
+// (<1 means GOMAXPROCS, capped at runs), with ExecuteContext's
+// cancellation and failure semantics. The first real failure cancels
+// the rest of the sample and is returned as "core: run i: ...".
+// Cancellation fallout from sibling runs is not a failure of its own:
+// recording it would mask the root cause behind "run N: cancelled".
+func forEachRun(ctx context.Context, runs, workers int, fn func(ctx context.Context, i int) error) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > e.Runs {
-		workers = e.Runs
-	}
+	workers = min(workers, runs)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -222,19 +244,6 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 		firstErr error
 		next     = make(chan int)
 	)
-	// fail records the first real failure and cancels the rest of the
-	// sample. Cancellation fallout from sibling runs is not a failure of
-	// this run — recording it would mask the root cause behind
-	// "run N: cancelled".
-	fail := func(i int, err error) {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return
-		}
-		errOnce.Do(func() {
-			firstErr = fmt.Errorf("core: run %d: %w", i, err)
-			cancel()
-		})
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -246,22 +255,19 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 				if executeRunHook != nil {
 					executeRunHook(i)
 				}
-				tr, stats, err := sim.RunContext(runCtx, e.config(i, pat), meta, adapted)
-				if err != nil {
-					fail(i, err)
+				err := fn(runCtx, i)
+				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					continue
 				}
-				g, err := graph.FromTrace(tr)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("core: run %d: %w", i, err)
+					cancel()
+				})
 			}
 		}()
 	}
 dispatch:
-	for i := 0; i < e.Runs; i++ {
+	for i := 0; i < runs; i++ {
 		select {
 		case next <- i:
 		case <-runCtx.Done():
@@ -271,12 +277,12 @@ dispatch:
 	close(next)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: experiment cancelled: %w", err)
+		return fmt.Errorf("core: experiment cancelled: %w", err)
 	}
-	return rs, nil
+	return nil
 }
 
 // Distances returns the pairwise kernel-distance sample of the run

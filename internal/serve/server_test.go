@@ -441,18 +441,26 @@ func TestConcurrentOverlappingSubmissionsDedupe(t *testing.T) {
 	// else that feeds the fingerprint (runs, seed, kernel) is identical.
 	grid1 := `{"patterns":["message_race"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[0,100],"runs":2,"base_seed":7,"kernel":"wl2"}`
 	grid2 := `{"patterns":["message_race"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[100,50],"runs":2,"base_seed":7,"kernel":"wl2"}`
-	sub1 := submit(t, ts, grid1)
-	sub2 := submit(t, ts, grid2)
-
-	// Wait until all three distinct cells are in flight and the shared
-	// cell's second request has joined, then let the simulations finish.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Store().Inflight() != 3 || s.Store().Joined() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight=%d joined=%d, want 3/1", s.Store().Inflight(), s.Store().Joined())
+	// waitStore polls until the store reports inflight cells in flight
+	// and joined joins.
+	waitStore := func(inflight int, joined uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Store().Inflight() != inflight || s.Store().Joined() != joined {
+			if time.Now().After(deadline) {
+				t.Fatalf("inflight=%d joined=%d, want %d/%d", s.Store().Inflight(), s.Store().Joined(), inflight, joined)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	// Job 2 is submitted only once both of job 1's cells, the shared
+	// one included, are in flight: job 2 is then the one that joins.
+	sub1 := submit(t, ts, grid1)
+	waitStore(2, 0)
+	sub2 := submit(t, ts, grid2)
+	// All three distinct cells are in flight and the shared cell's second
+	// request has joined; let the simulations finish.
+	waitStore(3, 1)
 	close(release)
 	done1 := waitStatus(t, ts, sub1.ID, StatusDone)
 	done2 := waitStatus(t, ts, sub2.ID, StatusDone)
@@ -464,12 +472,12 @@ func TestConcurrentOverlappingSubmissionsDedupe(t *testing.T) {
 	for _, c := range done2.Cells {
 		sources[c.NDPercent] = c.Source
 	}
-	if src := sources[100]; src != SourceJoined && src != SourceStore {
-		t.Errorf("shared cell in job 2 has source %q, want joined or store", src)
+	if src := sources[100]; src != SourceJoined {
+		t.Errorf("shared cell in job 2 has source %q, want joined", src)
 	}
 	for _, c := range done1.Cells {
-		if c.Source != SourceComputed && !(c.NDPercent == 100 && c.Source == SourceJoined) {
-			t.Errorf("job 1 cell nd=%g source %q", c.NDPercent, c.Source)
+		if c.Source != SourceComputed {
+			t.Errorf("job 1 cell nd=%g source %q, want computed", c.NDPercent, c.Source)
 		}
 	}
 }
