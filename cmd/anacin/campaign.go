@@ -53,8 +53,7 @@ flags:
 	csvPath := fs.String("csv", "", "also write the cells as CSV to this path")
 	workers := fs.Int("workers", 0, "concurrent cells (0 = one per core, capped at the cell count)")
 	archive := fs.String("archive", "", "archive every run's v2 trace under this directory\n(<dir>/<cell-fingerprint>/run-<i>.anctr, replayable with 'anacin replay')")
-	stream := fs.Bool("stream", false, "run cells through the streaming pipeline (flat per-cell memory;\nimplied by -archive)")
-	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive/-stream")
+	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive")
 	codecWorkers := fs.Int("codec-workers", 0, "trace-compression workers per archive writer (0 = one per core,\n1 = inline/serial). Never changes archived bytes")
 	timeout := fs.Duration("timeout", 0, "cancel the campaign after this wall-clock duration (0 = none)")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
@@ -118,7 +117,7 @@ flags:
 	}
 
 	runner := &campaign.Runner{
-		Workers: *workers, Stream: *stream, ArchiveDir: *archive,
+		Workers: *workers, ArchiveDir: *archive,
 		Codec: trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers},
 	}
 	if !*quiet {

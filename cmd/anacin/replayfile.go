@@ -76,10 +76,11 @@ func expandTracePaths(args []string) ([]string, error) {
 	return out, nil
 }
 
-// loadArtifact embeds one stored trace under k. v2 files stream
-// (trace file → graph → features without materializing either); v1
-// binary and JSON traces materialize and go through the live pipeline,
-// which produces identical features by construction.
+// loadArtifact embeds one stored trace under k. v2 files build their
+// graph straight from the archive's per-rank cursors, without
+// materializing the trace; v1 binary and JSON traces materialize and
+// build through graph.FromTrace. Both feed the same graph build and
+// kernel, so the features are identical by construction.
 func loadArtifact(k kernel.Kernel, path string) (traceArtifact, error) {
 	art := traceArtifact{Path: path}
 	if r, err := trace.OpenReader(path); err == nil {

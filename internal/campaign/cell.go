@@ -87,25 +87,6 @@ func (g *Grid) CellFingerprint(spec CellSpec) kernel.Fingerprint {
 	return fp.Sum()
 }
 
-// cellExperiment returns g with its defaults applied, the experiment
-// that runs spec's cell of it, and the cell's result record, still
-// without a summary.
-func cellExperiment(g Grid, spec CellSpec, runWorkers int) (Grid, core.Experiment, Cell) {
-	q := g.withDefaults()
-	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
-	e.Iterations = spec.Iterations
-	e.Nodes = spec.Nodes
-	e.Runs = q.Runs
-	e.BaseSeed = q.BaseSeed
-	e.CaptureStacks = q.CaptureStacks
-	e.Workers = runWorkers
-	cell := Cell{
-		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
-		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
-	}
-	return q, e, cell
-}
-
 // RunCell executes one grid cell of g and reduces it to its summary.
 // Failures are recorded in Cell.Err, not returned: a cell is an
 // independent measurement and its caller (the Runner's pool, or a
@@ -114,33 +95,30 @@ func cellExperiment(g Grid, spec CellSpec, runWorkers int) (Grid, core.Experimen
 // core); batch layers that already parallelize across cells pass their
 // per-cell budget.
 func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
-	q, e, cell := cellExperiment(g, spec, runWorkers)
-	rs, err := e.ExecuteContext(ctx)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	// DistanceSummary routes through the run set's embedding cache, so
-	// a future per-cell root-source pass would reuse these embeddings.
-	cell.Summary = rs.DistanceSummary(q.Kernel)
-	cell.DistinctStructures = rs.DistinctStructures()
-	return cell
+	return RunCellStream(ctx, g, spec, runWorkers, "", trace.CodecOptions{})
 }
 
-// RunCellStream is RunCell through the streaming pipeline: every run
-// simulates straight into a v2 trace file, is embedded by streaming the
-// file back, and is reduced without a trace or graph ever materializing
-// — flat memory in run length. When archiveDir is non-empty, the cell's
-// traces are archived there under the cell's fingerprint
-// (<archiveDir>/<fingerprint>/run-<i>.anctr), making the directory a
-// content-addressed store replayable with `anacin replay`. The
-// resulting Cell is byte-identical to RunCell's (the embeddings, and
-// therefore the summary, match exactly — a property the tests pin).
-// codec tunes archived-trace compression (zero = format default); the
-// worker count never changes archived bytes.
+// RunCellStream is RunCell that can also archive: when archiveDir is
+// non-empty, the cell's traces are archived there under the cell's
+// fingerprint (<archiveDir>/<fingerprint>/run-<i>.anctr), making the
+// directory a content-addressed store replayable with `anacin replay`.
+// The resulting Cell is byte-identical either way (a property the
+// tests pin). codec tunes archived-trace compression (zero = format
+// default); the worker count never changes archived bytes.
 func RunCellStream(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
-	q, e, cell := cellExperiment(g, spec, runWorkers)
+	q := g.withDefaults()
+	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
+	e.Iterations = spec.Iterations
+	e.Nodes = spec.Nodes
+	e.Runs = q.Runs
+	e.BaseSeed = q.BaseSeed
+	e.CaptureStacks = q.CaptureStacks
+	e.Workers = runWorkers
 	e.Codec = codec
+	cell := Cell{
+		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
+		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
+	}
 	dir := ""
 	if archiveDir != "" {
 		dir = filepath.Join(archiveDir, g.CellFingerprint(spec).String())

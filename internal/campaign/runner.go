@@ -52,17 +52,13 @@ type Runner struct {
 	RunWorkers int
 	// Progress, when non-nil, observes every completed cell.
 	Progress func(Progress)
-	// Stream routes cells through the streaming pipeline (RunCellStream):
-	// runs simulate straight into v2 trace files and are embedded by
-	// streaming them back, holding per-cell memory flat in run length.
-	// Cell results are byte-identical to the materializing path.
-	Stream bool
 	// ArchiveDir, when non-empty, archives every run's v2 trace under
-	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr and implies Stream.
+	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr. Cell results are
+	// byte-identical with and without it.
 	ArchiveDir string
 	// Codec tunes archived-trace compression (DEFLATE level, codec
-	// worker count) on the streaming path. Zero is the v2 format
-	// default; the worker count never changes archived bytes.
+	// worker count). Zero is the v2 format default; the worker count
+	// never changes archived bytes.
 	Codec trace.CodecOptions
 }
 
@@ -112,11 +108,7 @@ func (r *Runner) Run(ctx context.Context, g Grid) (*Result, error) {
 					continue
 				}
 				cellStart := time.Now()
-				if r.Stream || r.ArchiveDir != "" {
-					res.Cells[idx] = RunCellStream(ctx, q, cells[idx], runWorkers, r.ArchiveDir, r.Codec)
-				} else {
-					res.Cells[idx] = RunCell(ctx, q, cells[idx], runWorkers)
-				}
+				res.Cells[idx] = RunCellStream(ctx, q, cells[idx], runWorkers, r.ArchiveDir, r.Codec)
 				r.report(&mu, res.Cells[idx], time.Since(cellStart), start, len(cells), q.Runs, &done, &doneRuns)
 			}
 		}()

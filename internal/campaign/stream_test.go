@@ -12,9 +12,9 @@ import (
 )
 
 // TestRunCellStreamMatchesRunCell pins the campaign-level equivalence:
-// a cell run through the streaming pipeline carries exactly the summary
-// and distinct-structure count of the materializing path, and archives
-// its runs under the cell's fingerprint.
+// an archived cell carries exactly the summary and distinct-structure
+// count of the in-memory one, and archives its runs under the cell's
+// fingerprint.
 func TestRunCellStreamMatchesRunCell(t *testing.T) {
 	g, err := smallGrid().Normalized()
 	if err != nil {
@@ -46,32 +46,23 @@ func TestRunCellStreamMatchesRunCell(t *testing.T) {
 	}
 }
 
-// TestRunnerStreamMatchesDefault pins that Runner{Stream: true}
-// produces a Result deep-equal to the default materializing Runner —
-// the switch is purely an execution strategy.
+// TestRunnerStreamMatchesDefault pins that Runner{ArchiveDir} produces
+// a Result deep-equal to the default Runner — archiving changes where
+// traces go, never what a cell measures — and lays out one directory
+// per cell fingerprint.
 func TestRunnerStreamMatchesDefault(t *testing.T) {
 	g := smallGrid()
 	want, err := (&Runner{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Runner{Stream: true}).Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("streamed result differs from materializing result")
-	}
-
-	// ArchiveDir alone implies streaming and lays out one directory per
-	// cell fingerprint.
 	dir := t.TempDir()
 	archived, err := (&Runner{ArchiveDir: dir}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(archived, want) {
-		t.Errorf("archived result differs from materializing result")
+		t.Errorf("archived result differs from the default result")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

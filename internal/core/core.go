@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 
@@ -60,9 +61,9 @@ type Experiment struct {
 	Net sim.NetModel
 	// Replay optionally pins receives to a recorded schedule.
 	Replay *sim.Schedule
-	// Codec tunes archived-trace compression on the streaming path
-	// (DEFLATE level, codec worker count); ignored unless the
-	// experiment streams to an archive. Zero is the v2 format default.
+	// Codec tunes archived-trace compression (DEFLATE level, codec
+	// worker count); ignored unless ExecuteStreamContext archives the
+	// runs. Zero is the v2 format default.
 	Codec trace.CodecOptions
 }
 
@@ -110,6 +111,104 @@ func (e *Experiment) config(i int, pat patterns.Pattern) sim.Config {
 		EventsPerRankHint: pat.EventsPerRankHint(e.params()),
 		Codec:             e.Codec,
 	}
+}
+
+// program validates the run count and returns the pattern and the
+// simulator program every run of the experiment executes.
+func (e *Experiment) program() (patterns.Pattern, sim.Program, error) {
+	pat, err := patterns.ByName(e.Pattern)
+	if err != nil {
+		return nil, nil, err
+	}
+	if e.Runs < 1 {
+		return nil, nil, fmt.Errorf("core: Runs = %d, need >= 1", e.Runs)
+	}
+	program, err := pat.Program(e.params())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pat, sim.Adapt(program), nil
+}
+
+// run is one simulated run reduced to its event graph.
+type run struct {
+	// trace is the run's in-memory trace; nil when it was archived.
+	trace *trace.Trace
+	graph *graph.Graph
+	stats *sim.Stats
+	// archiveHash is an archived run's order hash, read back with its
+	// graph.
+	archiveHash uint64
+}
+
+// orderHash returns the run's trace order hash.
+func (r *run) orderHash() uint64 {
+	if r.trace != nil {
+		return r.trace.OrderHash()
+	}
+	return r.archiveHash
+}
+
+// simulateGraph is the per-run step of both executors: simulate run i
+// and build its event graph. With archive == "" the run is traced in
+// memory. Otherwise its events stream into a v2 archive at that path,
+// which is then read back for the graph and the order hash; the
+// archive decodes to exactly the trace the in-memory run records.
+func (e *Experiment) simulateGraph(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, archive string) (*run, error) {
+	cfg := e.config(i, pat)
+	meta := trace.Meta{Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize}
+	if archive == "" {
+		tr, stats, err := sim.RunContext(ctx, cfg, meta, program)
+		if err != nil {
+			return nil, err
+		}
+		g, err := graph.FromTrace(tr)
+		if err != nil {
+			return nil, err
+		}
+		return &run{trace: tr, graph: g, stats: stats}, nil
+	}
+
+	f, err := os.Create(archive)
+	if err != nil {
+		return nil, err
+	}
+	// The writer needs the whole header up front; sim.RunContext fills
+	// these fields the same way for an in-memory trace. (The bytes can
+	// differ from a rank-major WriteBinaryV2 of that trace: the v2
+	// callstack dictionary numbers stacks in first-seen order, and the
+	// scheduler interleaves ranks. Archived bytes are still
+	// deterministic in the seed.)
+	meta.Procs, meta.Nodes, meta.NDPercent, meta.Seed = cfg.Procs, cfg.Nodes, cfg.NDPercent, cfg.Seed
+	sw := trace.NewStreamWriterOptions(f, meta, cfg.Codec)
+	cfg.Sink = sw
+	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
+	if err != nil {
+		f.Close()
+		os.Remove(archive)
+		return nil, err
+	}
+	if err := sw.Close(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("encode %s: %w", archive, err)
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	rd, err := trace.OpenReader(archive)
+	if err != nil {
+		return nil, err
+	}
+	defer rd.Close()
+	g, err := graph.FromReader(rd)
+	if err != nil {
+		return nil, err
+	}
+	oh, err := rd.OrderHash()
+	if err != nil {
+		return nil, err
+	}
+	return &run{graph: g, stats: stats, archiveHash: oh}, nil
 }
 
 // Validate checks the experiment without running it.
@@ -187,20 +286,10 @@ var executeRunHook func(runIndex int)
 // lost a member is going to be discarded, so finishing it is waste —
 // and the first recorded failure is returned.
 func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
-	pat, err := patterns.ByName(e.Pattern)
+	pat, program, err := e.program()
 	if err != nil {
 		return nil, err
 	}
-	if e.Runs < 1 {
-		return nil, fmt.Errorf("core: Runs = %d, need >= 1", e.Runs)
-	}
-	program, err := pat.Program(e.params())
-	if err != nil {
-		return nil, err
-	}
-	adapted := sim.Adapt(program)
-	meta := trace.Meta{Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize}
-
 	rs := &RunSet{
 		Experiment: e,
 		Traces:     make([]*trace.Trace, e.Runs),
@@ -208,15 +297,11 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 		Stats:      make([]*sim.Stats, e.Runs),
 	}
 	err = forEachRun(ctx, e.Runs, e.Workers, func(ctx context.Context, i int) error {
-		tr, stats, err := sim.RunContext(ctx, e.config(i, pat), meta, adapted)
+		r, err := e.simulateGraph(ctx, i, pat, program, "")
 		if err != nil {
 			return err
 		}
-		g, err := graph.FromTrace(tr)
-		if err != nil {
-			return err
-		}
-		rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
+		rs.Traces[i], rs.Graphs[i], rs.Stats[i] = r.trace, r.graph, r.stats
 		return nil
 	})
 	if err != nil {

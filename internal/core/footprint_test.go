@@ -2,73 +2,45 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
-	"github.com/anacin-go/anacinx/internal/kernel"
-	"github.com/anacin-go/anacinx/internal/patterns"
-	"github.com/anacin-go/anacinx/internal/sim"
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
-// streamFootprint runs one ring_halo experiment through the real
-// streaming pipeline — simulate into a v2 file, stream it back through
-// a Reader into the WL kernel — and returns the two working-set
-// measures alongside the event count: the kernel's peak refinement
-// window and the file's largest segment (a cursor decodes one segment
-// of columns at a time).
-func streamFootprint(t *testing.T, iterations int) (events, maxWindow, maxSegment int) {
+// archiveFootprint archives one ring_halo run and returns its event
+// count and its largest segment (a cursor decodes one segment of
+// columns at a time).
+func archiveFootprint(t *testing.T, iterations int) (events, maxSegment int) {
 	t.Helper()
 	e := DefaultExperiment("ring_halo", 8, 50)
 	e.Iterations = iterations
 	e.Runs = 1
-	pat, err := patterns.ByName(e.Pattern)
+	srs, err := e.ExecuteStreamContext(context.Background(), nil, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	program, err := pat.Program(e.params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run.anctr")
-	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := trace.OpenReader(path)
+	r, err := trace.OpenReader(srs.TracePaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	_, stats, err := kernel.NewWL(2).FeaturesFromReaderStats(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.NumEvents(), stats.MaxWindow, r.Stats().MaxSegmentEvents
+	return r.NumEvents(), r.Stats().MaxSegmentEvents
 }
 
-// TestStreamPipelineFootprintFlat pins the streaming pipeline's memory
-// contract end to end: growing a balanced run 10x in iterations must
-// not grow the pipeline's working set. The simulator never materializes
-// a trace (events stream into the v2 encoder, whose rank buffers flush
-// every segment), a reader cursor holds one decoded segment, and the
-// WL kernel's refinement window retires nodes as receives match — so
-// every stage is bounded by structure, not run length.
+// TestStreamPipelineFootprintFlat pins the archive side's memory
+// contract: growing a balanced run 10x in iterations must not grow the
+// encoder's or a cursor's working set. The simulator streams events
+// into the v2 encoder, whose rank buffers flush every segment, and a
+// reader cursor holds one decoded segment.
 func TestStreamPipelineFootprintFlat(t *testing.T) {
-	smallEvents, smallWindow, smallSeg := streamFootprint(t, 4)
-	bigEvents, bigWindow, bigSeg := streamFootprint(t, 40)
-	t.Logf("iters=4:  events=%d window=%d seg=%d", smallEvents, smallWindow, smallSeg)
-	t.Logf("iters=40: events=%d window=%d seg=%d", bigEvents, bigWindow, bigSeg)
+	smallEvents, smallSeg := archiveFootprint(t, 4)
+	bigEvents, bigSeg := archiveFootprint(t, 40)
+	t.Logf("iters=4:  events=%d seg=%d", smallEvents, smallSeg)
+	t.Logf("iters=40: events=%d seg=%d", bigEvents, bigSeg)
 
 	if bigEvents < 8*smallEvents {
 		t.Fatalf("10x iterations grew events only %dx (%d -> %d); workload not scaling",
 			bigEvents/max(smallEvents, 1), smallEvents, bigEvents)
-	}
-	// The kernel window tracks in-flight structure, not history; allow a
-	// little slack for boundary effects but nothing close to the 10x
-	// event growth.
-	if bigWindow > 2*smallWindow {
-		t.Errorf("kernel window grew %d -> %d under 10x iterations; streaming footprint not flat",
-			smallWindow, bigWindow)
 	}
 	// A cursor's decode buffer is one segment of columns, capped by the
 	// writer's flush threshold regardless of run length.

@@ -8,23 +8,19 @@ import (
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/kernel"
-	"github.com/anacin-go/anacinx/internal/patterns"
 	"github.com/anacin-go/anacinx/internal/sim"
-	"github.com/anacin-go/anacinx/internal/trace"
 )
 
-// Streaming execution: each run simulates straight into a v2 trace file
-// (sim.Config.Sink → trace.StreamWriter), then embeds by streaming the
-// file back through a trace.Reader. At no point does a full
-// *trace.Trace or *graph.Graph exist, so a run's peak memory is the
-// encoder's column buffers plus the kernel's refinement window — flat
-// in run length for balanced patterns. The embeddings, order hashes,
-// and therefore every distance derived from them are byte-identical to
-// the materializing ExecuteContext pipeline (pinned by tests).
+// The cell measurement: each run worker simulates its run (in memory,
+// or into a v2 archive it reads back), builds the event graph, embeds
+// it, records the order hash, and drops the trace and the graph. A
+// cell therefore holds only embeddings and hashes, at most one run's
+// graph per run worker at a time. The embeddings, order hashes, and
+// every distance derived from them are byte-identical to the
+// ExecuteContext run set's (pinned by tests).
 
-// StreamRunSet holds the artifacts of a streaming execution. It is the
-// flat-memory counterpart of RunSet: embeddings instead of graphs,
-// order hashes instead of traces.
+// StreamRunSet holds the artifacts of ExecuteStreamContext: embeddings
+// instead of graphs, order hashes instead of traces.
 type StreamRunSet struct {
 	Experiment Experiment
 	// KernelName names the kernel that produced Features.
@@ -36,47 +32,27 @@ type StreamRunSet struct {
 	OrderHashes []uint64
 	// Stats[i] summarizes run i's simulation.
 	Stats []*sim.Stats
-	// TracePaths[i] is run i's archived v2 trace file; empty when the
-	// execution used an unarchived scratch directory.
+	// TracePaths[i] is run i's archived v2 trace file; nil when the
+	// runs were not archived.
 	TracePaths []string
 }
 
-// ExecuteStreamContext runs the experiment's sample through the
-// streaming pipeline, embedding every run under k. When archiveDir is
-// non-empty, each run's v2 trace is kept there as run-<i>.anctr
-// (the directory is created if needed) and recorded in TracePaths;
-// otherwise traces live in a scratch directory that is removed before
-// returning. Cancellation and failure semantics match ExecuteContext.
+// ExecuteStreamContext runs the experiment's sample and embeds every
+// run under k (nil = WL depth 2) in the worker that ran it. When
+// archiveDir is non-empty, each run's v2 trace is kept there as
+// run-<i>.anctr (the directory is created if needed) and recorded in
+// TracePaths; otherwise runs are traced in memory. Embeddings go
+// through one per-call kernel.Cache, so structurally identical runs
+// (every run of an ND=0 cell) are embedded once when they run one after
+// another. Cancellation and failure semantics match ExecuteContext.
 func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, archiveDir string) (*StreamRunSet, error) {
 	if k == nil {
 		k = kernel.NewWL(2)
 	}
-	pat, err := patterns.ByName(e.Pattern)
+	pat, program, err := e.program()
 	if err != nil {
 		return nil, err
 	}
-	if e.Runs < 1 {
-		return nil, fmt.Errorf("core: Runs = %d, need >= 1", e.Runs)
-	}
-	program, err := pat.Program(e.params())
-	if err != nil {
-		return nil, err
-	}
-	adapted := sim.Adapt(program)
-
-	dir := archiveDir
-	archived := dir != ""
-	if archived {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: archive dir: %w", err)
-		}
-	} else {
-		if dir, err = os.MkdirTemp("", "anacin-stream-*"); err != nil {
-			return nil, fmt.Errorf("core: scratch dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-	}
-
 	srs := &StreamRunSet{
 		Experiment:  e,
 		KernelName:  k.Name(),
@@ -84,26 +60,28 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 		OrderHashes: make([]uint64, e.Runs),
 		Stats:       make([]*sim.Stats, e.Runs),
 	}
-	if archived {
+	if archiveDir != "" {
+		if err := os.MkdirAll(archiveDir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: archive dir: %w", err)
+		}
 		srs.TracePaths = make([]string, e.Runs)
 	}
-
+	cache := kernel.NewCache()
 	err = forEachRun(ctx, e.Runs, e.Workers, func(ctx context.Context, i int) error {
-		path := filepath.Join(dir, fmt.Sprintf("run-%d.anctr", i))
-		stats, err := e.streamRun(ctx, i, pat, adapted, path)
+		path := ""
+		if archiveDir != "" {
+			path = filepath.Join(archiveDir, fmt.Sprintf("run-%d.anctr", i))
+		}
+		r, err := e.simulateGraph(ctx, i, pat, program, path)
 		if err != nil {
 			return err
 		}
-		fv, oh, err := embedTraceFile(k, path)
-		if err != nil {
-			return err
-		}
-		if !archived {
-			os.Remove(path)
-		} else {
+		srs.Features[i] = cache.Features(k, r.graph)
+		srs.OrderHashes[i] = r.orderHash()
+		srs.Stats[i] = r.stats
+		if path != "" {
 			srs.TracePaths[i] = path
 		}
-		srs.Features[i], srs.OrderHashes[i], srs.Stats[i] = fv, oh, stats
 		return nil
 	})
 	if err != nil {
@@ -112,66 +90,9 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 	return srs, nil
 }
 
-// streamRun simulates run i with its events streaming into a v2 trace
-// file at path.
-func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string) (*sim.Stats, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	// Meta must match what the materializing pipeline's trace carries,
-	// so the archived file decodes to exactly the trace ExecuteContext
-	// would have materialized. (The bytes themselves can differ from a
-	// rank-major WriteBinaryV2 of that trace: the v2 callstack
-	// dictionary numbers stacks in first-seen order, and the scheduler
-	// interleaves ranks. Streamed bytes are still deterministic in the
-	// seed.)
-	meta := trace.Meta{
-		Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize,
-		Procs: e.Procs, Nodes: e.Nodes, NDPercent: e.NDPercent,
-		Seed: e.BaseSeed + int64(i),
-	}
-	cfg := e.config(i, pat)
-	sw := trace.NewStreamWriterOptions(f, meta, cfg.Codec)
-	cfg.Sink = sw
-	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if err := sw.Close(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("encode %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return stats, nil
-}
-
-// embedTraceFile opens one archived trace and reduces it to its
-// embedding and order hash.
-func embedTraceFile(k kernel.Kernel, path string) (kernel.FeatureVector, uint64, error) {
-	r, err := trace.OpenReader(path)
-	if err != nil {
-		return kernel.FeatureVector{}, 0, err
-	}
-	defer r.Close()
-	fv, err := kernel.FeaturesFromReader(k, r)
-	if err != nil {
-		return kernel.FeatureVector{}, 0, err
-	}
-	oh, err := r.OrderHash()
-	if err != nil {
-		return kernel.FeatureVector{}, 0, err
-	}
-	return fv, oh, nil
-}
-
 // Distances returns the pairwise kernel-distance sample of the
-// streamed embeddings — the same sample RunSet.Distances draws from
-// graphs, byte-identical for equal embeddings.
+// embeddings — the same sample RunSet.Distances draws from graphs,
+// byte-identical for equal embeddings.
 func (srs *StreamRunSet) Distances() []float64 {
 	return kernel.MatrixFromFeatures(srs.KernelName, srs.Features).PairwiseDistances()
 }

@@ -14,16 +14,16 @@ import (
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
-// TestExecuteStreamMatchesExecute pins the tentpole equivalence: the
-// streaming pipeline (sim → v2 file → reader → streaming WL) produces
-// exactly the embeddings, order hashes, and distances of the
-// materializing pipeline (sim → *Trace → *Graph → WL), and each
-// archived v2 file decodes to exactly the trace the materializing
-// pipeline would have produced. (File bytes legitimately differ from a
-// rank-major WriteBinaryV2 — the callstack dictionary numbers stacks
-// in first-seen order, which follows the scheduler interleave when
-// streaming — so equivalence is pinned on the decoded trace hash,
-// and TestExecuteStreamDeterministicBytes pins the bytes themselves.)
+// TestExecuteStreamMatchesExecute pins the archive equivalence: the
+// archived cell pipeline (sim → v2 file → reader → graph → WL) produces
+// exactly the embeddings, order hashes, and distances of the run set
+// (sim → *Trace → *Graph → WL), and each archived v2 file decodes to
+// exactly the trace the in-memory run records. (File bytes
+// legitimately differ from a rank-major WriteBinaryV2 — the callstack
+// dictionary numbers stacks in first-seen order, which follows the
+// scheduler interleave when streaming — so equivalence is pinned on
+// the decoded trace hash, and TestExecuteStreamDeterministicBytes pins
+// the bytes themselves.)
 func TestExecuteStreamMatchesExecute(t *testing.T) {
 	for _, pat := range []string{"message_race", "amg2013"} {
 		t.Run(pat, func(t *testing.T) {
@@ -81,8 +81,7 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 }
 
 // TestExecuteStreamScratchLeavesNothing checks the unarchived mode:
-// results match the archived run, TracePaths stays nil, and the
-// scratch directory is gone.
+// results match the archived run and TracePaths stays nil.
 func TestExecuteStreamScratchLeavesNothing(t *testing.T) {
 	e := DefaultExperiment("unstructured_mesh", 4, 100)
 	e.Runs = 3

@@ -45,6 +45,7 @@ import (
 	"math"
 
 	"github.com/anacin-go/anacinx/internal/graph"
+	"github.com/anacin-go/anacinx/internal/trace"
 )
 
 // Features is the map-backed compat representation of a sparse feature
@@ -84,6 +85,18 @@ type Kernel interface {
 	Name() string
 	// Features computes the graph's embedding.
 	Features(g *graph.Graph) FeatureVector
+}
+
+// FeaturesFromReader embeds the archived trace behind r under k: it
+// builds the trace's event graph through the reader (graph.FromReader)
+// and embeds that, so the result equals k.Features of the graph of the
+// materialized trace.
+func FeaturesFromReader(k Kernel, r *trace.Reader) (FeatureVector, error) {
+	g, err := graph.FromReader(r)
+	if err != nil {
+		return FeatureVector{}, err
+	}
+	return k.Features(g), nil
 }
 
 // Value computes k(g1, g2) directly.

@@ -114,8 +114,8 @@ func newMatrix(k Kernel, graphs []*graph.Graph, workers int, cache *Cache) *Matr
 }
 
 // MatrixFromFeatures builds a Gram matrix from already-computed
-// embeddings — the streaming campaign path embeds each run as its trace
-// is consumed, so no graphs exist by matrix time. The degenerate sizes
+// embeddings — the cell pipeline embeds each run in its run worker and
+// drops the run's graph, so no graphs exist by matrix time. The degenerate sizes
 // and the dot-product order match newMatrix exactly, making the matrix
 // (and every distance derived from it) byte-identical to the
 // graph-based construction over the same embeddings.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/anacin-go/anacinx/internal/graph"
@@ -48,5 +49,26 @@ func TestNewMatrixSmallInputs(t *testing.T) {
 	m := NewMatrix(k, one)
 	if m.Len() != 1 || m.K[0][0] <= 0 {
 		t.Errorf("single-graph matrix: %+v", m)
+	}
+}
+
+func TestMatrixFromFeaturesMatchesNewMatrix(t *testing.T) {
+	k := NewWL(2)
+	var graphs []*graph.Graph
+	var feats []FeatureVector
+	for seed := int64(1); seed <= 4; seed++ {
+		g := meshGraph(t, 6, 3, 50, seed)
+		graphs = append(graphs, g)
+		feats = append(feats, k.Features(g))
+	}
+	for n := 0; n <= 4; n++ {
+		want := NewMatrix(k, graphs[:n])
+		got := MatrixFromFeatures(k.Name(), feats[:n])
+		if !reflect.DeepEqual(want.K, got.K) {
+			t.Errorf("n=%d: feature-built matrix differs from graph-built", n)
+		}
+		if got.KernelName != want.KernelName {
+			t.Errorf("n=%d: kernel name %q vs %q", n, got.KernelName, want.KernelName)
+		}
 	}
 }

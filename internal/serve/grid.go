@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"github.com/anacin-go/anacinx/internal/campaign"
 	"github.com/anacin-go/anacinx/internal/core"
@@ -25,6 +28,21 @@ type GridRequest struct {
 	BaseSeed      int64     `json:"base_seed,omitempty"`
 	Kernel        string    `json:"kernel,omitempty"`
 	CaptureStacks bool      `json:"capture_stacks,omitempty"`
+}
+
+// decodeGridRequest reads one grid object from r, rejecting unknown
+// fields and trailing data.
+func decodeGridRequest(r io.Reader) (GridRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req GridRequest
+	if err := dec.Decode(&req); err != nil {
+		return GridRequest{}, err
+	}
+	if dec.More() {
+		return GridRequest{}, errors.New("trailing data after the grid object")
+	}
+	return req, nil
 }
 
 // grid validates the request and converts it to a normalized
@@ -61,8 +79,13 @@ func (r *GridRequest) grid(maxCells, maxRuns int) (campaign.Grid, error) {
 	if err != nil {
 		return campaign.Grid{}, err
 	}
-	if cells := q.Cells(); cells > maxCells {
-		return campaign.Grid{}, fmt.Errorf("grid has %d cells, exceeding the server's limit of %d", cells, maxCells)
+	// Multiply stepwise: the product of long dimension lists must not
+	// overflow into an admissible count.
+	cells := 1
+	for _, n := range []int{len(q.Patterns), len(q.Procs), len(q.Iterations), len(q.Nodes), len(q.NDPercents)} {
+		if cells *= n; cells > maxCells {
+			return campaign.Grid{}, fmt.Errorf("grid has more than %d cells, the server's limit", maxCells)
+		}
 	}
 	for _, name := range q.Patterns {
 		pat, err := patterns.ByName(name)

@@ -27,12 +27,9 @@ const (
 // server finishes in-flight jobs but admits no new ones.
 var ErrDraining = errors.New("serve: draining, not accepting new campaigns")
 
-// runCellFn indirects campaign.RunCell so tests can substitute slow,
-// blocking, or instrumented cells without simulating.
-var runCellFn = campaign.RunCell
-
-// runCellStreamFn likewise indirects the streaming/archiving path.
-var runCellStreamFn = campaign.RunCellStream
+// runCellFn indirects campaign.RunCellStream so tests can substitute
+// slow, blocking, or instrumented cells without simulating.
+var runCellFn = campaign.RunCellStream
 
 // SummaryView is analysis.Summary with wire-friendly field names.
 type SummaryView struct {
@@ -215,8 +212,7 @@ func NewRegistry(store *Store, cellWorkers, simWorkers int) *Registry {
 }
 
 // NewRegistryArchive is NewRegistry with trace archiving: when
-// archiveDir is non-empty, cells run through the streaming pipeline and
-// every run's v2 trace is kept under
+// archiveDir is non-empty, every run's v2 trace is kept under
 // <archiveDir>/<cell-fingerprint>/run-<i>.anctr, replayable with
 // `anacin replay`. Cell results are byte-identical either way. codec
 // tunes archived-trace compression (zero = the v2 format default; the
@@ -425,10 +421,7 @@ func (j *Job) runCell(ctx context.Context, r *Registry, idx, runWorkers int) {
 				NDPercent: spec.NDPercent, Runs: j.grid.Runs, Err: cctx.Err()}
 		}
 		defer func() { <-r.simSlots }()
-		if r.archiveDir != "" {
-			return runCellStreamFn(cctx, j.grid, spec, runWorkers, r.archiveDir, r.codec)
-		}
-		return runCellFn(cctx, j.grid, spec, runWorkers)
+		return runCellFn(cctx, j.grid, spec, runWorkers, r.archiveDir, r.codec)
 	})
 	if err != nil {
 		// Our job was cancelled; the terminal event reports it.

@@ -27,11 +27,10 @@ type Config struct {
 	MaxRuns int
 	// MaxBodyBytes caps the request body (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// ArchiveDir, when non-empty, runs cells through the streaming
-	// pipeline and archives every run's v2 binary trace under
-	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr. The archive is the
-	// durable counterpart of the in-memory result store: any archived
-	// cell can be re-derived offline with `anacin replay`.
+	// ArchiveDir, when non-empty, archives every run's v2 binary trace
+	// under <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr. The archive
+	// is the durable counterpart of the in-memory result store: any
+	// archived cell can be re-derived offline with `anacin replay`.
 	ArchiveDir string
 	// Codec tunes archived-trace compression (DEFLATE level, codec
 	// worker count). Zero is the v2 format default; the worker count
@@ -199,16 +198,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnsupportedMediaType, "content-type %q, want application/json", ct)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req GridRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeGridRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad grid json: %v", err)
-		return
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "bad grid json: trailing data after the grid object")
 		return
 	}
 	grid, err := req.grid(s.cfg.MaxCells, s.cfg.MaxRuns)

@@ -17,6 +17,7 @@ import (
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/campaign"
+	"github.com/anacin-go/anacinx/internal/trace"
 )
 
 // newQuietLogger routes server log lines to the test log (shown only
@@ -67,7 +68,7 @@ func fakeCell(g campaign.Grid, spec campaign.CellSpec) campaign.Cell {
 
 // swapRunCell overrides the cell executor for the duration of a test.
 // Tests that call it must not run in parallel (package-global state).
-func swapRunCell(t *testing.T, fn func(context.Context, campaign.Grid, campaign.CellSpec, int) campaign.Cell) {
+func swapRunCell(t *testing.T, fn func(context.Context, campaign.Grid, campaign.CellSpec, int, string, trace.CodecOptions) campaign.Cell) {
 	t.Helper()
 	old := runCellFn
 	runCellFn = fn
@@ -196,27 +197,31 @@ func readSSE(t *testing.T, ts *httptest.Server, path string, lastEventID string)
 	return frames
 }
 
+// submitRejections are the bad submissions TestSubmitRejections sends
+// to a server with MaxCells 8 and MaxRuns 10; FuzzGridRequest seeds
+// from their bodies.
+var submitRejections = []struct {
+	name        string
+	contentType string
+	body        string
+	wantStatus  int
+	wantSubstr  string
+}{
+	{"bad json", "application/json", `{"patterns":`, 400, "bad grid json"},
+	{"unknown field", "application/json", `{"paterns":["message_race"]}`, 400, "unknown field"},
+	{"trailing data", "application/json", `{"runs":2}{"runs":3}`, 400, "trailing data"},
+	{"negative runs", "application/json", `{"runs":-1}`, 400, "runs"},
+	{"runs over limit", "application/json", `{"patterns":["message_race"],"procs":[4],"runs":99}`, 400, "limit"},
+	{"bad kernel", "application/json", `{"kernel":"wat"}`, 400, "kernel"},
+	{"unknown pattern", "application/json", `{"patterns":["no_such_pattern"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[0]}`, 400, "no_such_pattern"},
+	{"nd out of range", "application/json", `{"patterns":["message_race"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[150]}`, 400, "nd_percents"},
+	{"too many cells", "application/json", `{"patterns":["message_race"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[0,10,20,30,40,50,60,70,80]}`, 400, "cells"},
+	{"wrong content type", "text/plain", smallBody, 415, "content-type"},
+}
+
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxCells: 8, MaxRuns: 10})
-	cases := []struct {
-		name        string
-		contentType string
-		body        string
-		wantStatus  int
-		wantSubstr  string
-	}{
-		{"bad json", "application/json", `{"patterns":`, 400, "bad grid json"},
-		{"unknown field", "application/json", `{"paterns":["message_race"]}`, 400, "unknown field"},
-		{"trailing data", "application/json", `{"runs":2}{"runs":3}`, 400, "trailing data"},
-		{"negative runs", "application/json", `{"runs":-1}`, 400, "runs"},
-		{"runs over limit", "application/json", `{"patterns":["message_race"],"procs":[4],"runs":99}`, 400, "limit"},
-		{"bad kernel", "application/json", `{"kernel":"wat"}`, 400, "kernel"},
-		{"unknown pattern", "application/json", `{"patterns":["no_such_pattern"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[0]}`, 400, "no_such_pattern"},
-		{"nd out of range", "application/json", `{"patterns":["message_race"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[150]}`, 400, "nd_percents"},
-		{"too many cells", "application/json", `{"patterns":["message_race"],"procs":[4],"iterations":[1],"nodes":[1],"nd_percents":[0,10,20,30,40,50,60,70,80]}`, 400, "cells"},
-		{"wrong content type", "text/plain", smallBody, 415, "content-type"},
-	}
-	for _, tc := range cases {
+	for _, tc := range submitRejections {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := ts.Client().Post(ts.URL+"/v1/campaigns", tc.contentType, strings.NewReader(tc.body))
 			if err != nil {
@@ -258,7 +263,7 @@ func TestUnknownJob404(t *testing.T) {
 // checks the status, results (all three formats), list, and stats
 // surfaces along the way.
 func TestJobLifecycle(t *testing.T) {
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		return fakeCell(g, spec)
 	})
 	s, ts := newTestServer(t, Config{})
@@ -353,7 +358,7 @@ func TestJobLifecycle(t *testing.T) {
 // done_cells strictly increasing, then a terminal `done`.
 func TestSSEOrdering(t *testing.T) {
 	gate := make(chan struct{})
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		<-gate
 		return fakeCell(g, spec)
 	})
@@ -426,7 +431,7 @@ func TestSSEOrdering(t *testing.T) {
 // simulation once, and the second job's copy arrives as joined/store.
 func TestConcurrentOverlappingSubmissionsDedupe(t *testing.T) {
 	release := make(chan struct{})
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		select {
 		case <-release:
 			return fakeCell(g, spec)
@@ -486,7 +491,7 @@ func TestConcurrentOverlappingSubmissionsDedupe(t *testing.T) {
 // submitting the same grid twice performs the simulations once; the
 // second job completes entirely from the store with zero new misses.
 func TestResubmitServedFromStore(t *testing.T) {
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		return fakeCell(g, spec)
 	})
 	s, ts := newTestServer(t, Config{})
@@ -539,7 +544,7 @@ func fetchResults(t *testing.T, ts *httptest.Server, id, format string) string {
 func TestCancelJob(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		select {
 		case <-release:
 			return fakeCell(g, spec)
@@ -611,7 +616,7 @@ func TestCancelJob(t *testing.T) {
 // in-flight job runs to completion and its results stay fetchable.
 func TestGracefulDrain(t *testing.T) {
 	release := make(chan struct{})
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		select {
 		case <-release:
 			return fakeCell(g, spec)
@@ -657,7 +662,7 @@ func TestGracefulDrain(t *testing.T) {
 // are cancelled, Shutdown surfaces the context error, and the job ends
 // cancelled rather than wedged.
 func TestDrainGraceExpiry(t *testing.T) {
-	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
+	swapRunCell(t, func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
 		<-ctx.Done() // never finishes on its own
 		return campaign.Cell{Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
 			Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: g.Runs, Err: ctx.Err()}

@@ -248,20 +248,6 @@ func readBinaryV1(br *bufio.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// SaveBinaryFile writes the trace to path in the binary format.
-func (t *Trace) SaveBinaryFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return t.WriteBinary(f)
-}
-
 // LoadBinaryFile reads a binary trace (v1 or v2, auto-detected) from
 // path. v2 files are decoded through their footer index rather than
 // buffered whole.

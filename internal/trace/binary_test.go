@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -47,12 +48,22 @@ func TestBinaryRoundTripPreservesCallstacks(t *testing.T) {
 	}
 }
 
+// writeV1File writes tr to path in the v1 binary format.
+func writeV1File(t *testing.T, tr *Trace, path string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBinaryFileRoundTrip(t *testing.T) {
 	tr := buildValidTrace()
 	path := filepath.Join(t.TempDir(), "trace.bin")
-	if err := tr.SaveBinaryFile(path); err != nil {
-		t.Fatal(err)
-	}
+	writeV1File(t, tr, path)
 	got, err := LoadBinaryFile(path)
 	if err != nil {
 		t.Fatal(err)

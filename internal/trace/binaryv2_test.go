@@ -75,9 +75,7 @@ func TestBinaryAutoDetectFile(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "v1.anctr")
 	v2 := filepath.Join(dir, "v2.anctr")
-	if err := tr.SaveBinaryFile(v1); err != nil {
-		t.Fatal(err)
-	}
+	writeV1File(t, tr, v1)
 	if err := tr.SaveBinaryV2File(v2); err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +270,7 @@ func TestStreamWriterUsageErrors(t *testing.T) {
 func TestOpenReaderRejectsV1(t *testing.T) {
 	tr := buildValidTrace()
 	path := filepath.Join(t.TempDir(), "v1.anctr")
-	if err := tr.SaveBinaryFile(path); err != nil {
-		t.Fatal(err)
-	}
+	writeV1File(t, tr, path)
 	_, err := OpenReader(path)
 	if err == nil || !strings.Contains(err.Error(), "v1") {
 		t.Errorf("want v1 rejection, got %v", err)

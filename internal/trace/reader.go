@@ -22,8 +22,8 @@ import (
 // Opening a Reader costs the meta block, the callstack dictionary, and
 // the rank index — independent of event count — and a cursor's working
 // set is one segment, so consumers that fold over events (the graph
-// builder, the streaming kernel path, OrderHash) run in flat memory
-// regardless of run length.
+// builder, OrderHash) hold at most one segment per cursor of decoded
+// columns.
 //
 // A Reader is safe for concurrent cursor use: Cursors read through
 // io.ReaderAt, and the only mutable state they share — the cache of
@@ -267,12 +267,15 @@ func (r *Reader) readFooter() error {
 		return err
 	}
 	d := &sectionDecoder{br: bufio.NewReader(bytes.NewReader(payload))}
+	// Each count below sizes an allocation before its entries are read,
+	// and each entry takes at least one payload byte.
+	entries := uint64(len(payload))
 
 	nKeys, err := d.uvarint()
 	if err != nil {
 		return fmt.Errorf("trace: v2 dictionary: %w", err)
 	}
-	if nKeys > 1<<22 {
+	if nKeys > 1<<22 || nKeys > entries {
 		return fmt.Errorf("trace: unreasonable callstack table size %d", nKeys)
 	}
 	sorted := make([]string, nKeys)
@@ -312,9 +315,18 @@ func (r *Reader) readFooter() error {
 	if err != nil {
 		return fmt.Errorf("trace: v2 rank index: %w", err)
 	}
-	if int(nRanks) != r.meta.Procs {
+	if nRanks != uint64(r.meta.Procs) {
 		return fmt.Errorf("trace: v2 rank index has %d ranks, meta declares %d", nRanks, r.meta.Procs)
 	}
+	if nRanks > entries {
+		return fmt.Errorf("trace: v2 rank index: %d ranks in a %d-byte footer", nRanks, entries)
+	}
+	// Consumers size their arrays from the footer's event counts before
+	// they decode an event (the graph build lays out every node up
+	// front), so the claimed total must be one the data section can
+	// hold: every event has at least a kind byte in some segment, and
+	// DEFLATE expands at most ~1032:1.
+	maxEvents := 1040*(r.footerOff-8) + 64
 	r.ranks = make([]rankIndex, nRanks)
 	for rank := range r.ranks {
 		ri := &r.ranks[rank]
@@ -324,6 +336,10 @@ func (r *Reader) readFooter() error {
 		}
 		if events > 1<<30 {
 			return fmt.Errorf("trace: unreasonable event count %d", events)
+		}
+		if int64(r.total)+int64(events) > maxEvents {
+			return fmt.Errorf("trace: v2 rank %d: footer claims %d events in total, more than the %d-byte data section can hold",
+				rank, int64(r.total)+int64(events), r.footerOff-8)
 		}
 		sends, err := d.uvarint()
 		if err != nil {
@@ -341,7 +357,7 @@ func (r *Reader) readFooter() error {
 		if err != nil {
 			return fmt.Errorf("trace: v2 rank index: %w", err)
 		}
-		if nSegs > events {
+		if nSegs > events || nSegs > entries {
 			return fmt.Errorf("trace: v2 rank %d: %d segments for %d events", rank, nSegs, events)
 		}
 		ri.events = int(events)
