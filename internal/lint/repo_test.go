@@ -39,13 +39,12 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	}
 
 	// The sanctioned exceptions are part of the contract: the wallclock
-	// contrast runtime, the scheduler's rank launch, and the map-order
-	// Dot oracle must be present AND annotated. Their disappearance
-	// means either the code moved (update this test) or the directive
-	// plumbing silently stopped matching (a linter bug).
+	// contrast runtime and the map-order Dot oracle must be present AND
+	// annotated. Their disappearance means either the code moved (update
+	// this test) or the directive plumbing silently stopped matching (a
+	// linter bug).
 	wantSuppressed := map[string]string{
 		"internal/sim/wallclock.go": "wallclock",
-		"internal/sim/sched.go":     "goroutine",
 		"internal/kernel/kernel.go": "floatfold",
 	}
 	for file, check := range wantSuppressed {

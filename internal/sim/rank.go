@@ -8,8 +8,9 @@ import (
 )
 
 // Rank is the handle a Program uses to issue MPI-like operations. A Rank
-// is owned by its goroutine; its methods must not be called from other
-// goroutines.
+// runs on its own coroutine, which the scheduler resumes; its methods
+// must be called only from the Program running on it, never from
+// another goroutine.
 type Rank struct {
 	sim     *simulation
 	id      int
@@ -17,8 +18,8 @@ type Rank struct {
 	clock   vtime.Time
 	lamport int64
 	status  rankStatus
-	heapIdx int // position in the scheduler's ready heap, -1 when not queued
-	resume  chan struct{}
+	heapIdx int       // position in the scheduler's ready heap, -1 when not queued
+	co      *rankCoro // the coroutine running this rank
 	rng     *vtime.RNG
 
 	mailbox    []*message // arrived, unmatched ("unexpected") messages
@@ -94,23 +95,23 @@ func (r *Rank) Compute(d vtime.Duration) {
 // Fast path: when the rank is still runnable and would be the
 // scheduler's next pick anyway — its clock strictly precedes the
 // earliest in-flight arrival and every other ready rank (with the
-// scheduler's exact tie-breaks) — the goroutine handoff is skipped and
-// the rank simply keeps running. This removes two channel operations
-// from the common sequential case without changing the schedule:
-// the decision predicate is precisely the scheduler's.
+// scheduler's exact tie-breaks) — the coroutine switch is skipped and
+// the rank simply keeps running. This removes two switches from the
+// common sequential case without changing the schedule: the decision
+// predicate is precisely the scheduler's.
 func (r *Rank) yield() {
 	if r.status == statusRunning && r.wouldRunNext() {
+		r.sim.stats.FastYields++
 		return
 	}
 	if r.status == statusRunning {
-		// The scheduler is parked in its loop, so this goroutine owns the
-		// scheduler state: re-queue ourselves before handing control back.
+		// The scheduler is suspended in its loop, so this coroutine owns
+		// the scheduler state: re-queue ourselves before handing control
+		// back.
 		r.sim.makeReady(r)
 	}
-	r.sim.yielded <- r.id
-	<-r.resume
-	r.status = statusRunning
-	if r.sim.abortFlag {
+	// yield reports false once the coroutine is being stopped.
+	if !r.co.yield(struct{}{}) || r.sim.abortFlag {
 		panic(abortSentinel{})
 	}
 }

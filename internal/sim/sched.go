@@ -372,7 +372,7 @@ func (h readyHeap) swap(i, j int) {
 	h[j].heapIdx = j
 }
 
-// abortSentinel unwinds rank goroutines during shutdown.
+// abortSentinel unwinds rank coroutines during shutdown.
 type abortSentinel struct{}
 
 // containsRequest reports whether req is one of reqs.
@@ -391,8 +391,9 @@ func errStepBudget(budget int) error {
 	return fmt.Errorf("sim: step budget %d exceeded (runaway program?)", budget)
 }
 
-// simulation holds all scheduler state. Exactly one goroutine — either
-// the scheduler or a single resumed rank — touches it at any moment.
+// simulation holds all scheduler state. Exactly one side — either the
+// scheduler or a single resumed rank coroutine — touches it at any
+// moment.
 type simulation struct {
 	cfg  Config
 	tr   *trace.Trace    // nil when events stream to sink instead
@@ -404,7 +405,6 @@ type simulation struct {
 
 	events     eventHeap
 	ready      readyHeap // statusReady ranks, min (clock, id) first
-	yielded    chan int  // rank id that just yielded control
 	netRNG     *vtime.RNG
 	msgID      int64
 	deliverSeq int64
@@ -446,12 +446,11 @@ func (s *simulation) cancelled() bool {
 
 func newSim(cfg Config, meta trace.Meta) *simulation {
 	s := &simulation{
-		cfg:     cfg,
-		sink:    cfg.Sink,
-		yielded: make(chan int),
-		netRNG:  vtime.NewRNG(cfg.Seed).Split(0xC0FFEE),
-		chans:   newChanTable(cfg.Procs),
-		ready:   make(readyHeap, 0, cfg.Procs),
+		cfg:    cfg,
+		sink:   cfg.Sink,
+		netRNG: vtime.NewRNG(cfg.Seed).Split(0xC0FFEE),
+		chans:  newChanTable(cfg.Procs),
+		ready:  make(readyHeap, 0, cfg.Procs),
 	}
 	if s.sink == nil {
 		s.tr = trace.NewWithCapacity(meta, cfg.EventsPerRankHint)
@@ -465,7 +464,6 @@ func newSim(cfg Config, meta trace.Meta) *simulation {
 			node:    cfg.NodeOf(i),
 			status:  statusReady,
 			heapIdx: -1,
-			resume:  make(chan struct{}),
 			rng:     base.Split(uint64(i) + 1),
 		}
 		s.ready.push(s.ranks[i])
@@ -502,13 +500,11 @@ func (s *simulation) release(m *message) {
 	s.freeMsgs = append(s.freeMsgs, m)
 }
 
-// run launches the rank goroutines and drives the event loop to
+// run binds a coroutine to every rank and drives the event loop to
 // completion.
 func (s *simulation) run(program Program) (*trace.Trace, *Stats, error) {
-	for _, r := range s.ranks {
-		//anacin:allow goroutine the scheduler is the sanctioned owner: it starts each rank exactly once and the yield protocol keeps one goroutine runnable at a time
-		go s.rankMain(r, program)
-	}
+	s.attach(program)
+	defer s.detach()
 	err := s.loop()
 	s.shutdown()
 	if s.panicErr != nil {
@@ -525,8 +521,9 @@ func (s *simulation) run(program Program) (*trace.Trace, *Stats, error) {
 	return s.tr, &s.stats, nil
 }
 
-// rankMain is the goroutine body for one rank: wait for the first
-// resume, record Init, run the program, record Finalize.
+// rankMain is one rank's coroutine body from its first resume: record
+// Init, run the program, record Finalize. It returns, never panics, once
+// the rank is done.
 func (s *simulation) rankMain(r *Rank, program Program) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -535,9 +532,7 @@ func (s *simulation) rankMain(r *Rank, program Program) {
 			}
 		}
 		r.status = statusDone
-		s.yielded <- r.id
 	}()
-	<-r.resume
 	if s.abortFlag {
 		panic(abortSentinel{})
 	}
@@ -547,7 +542,6 @@ func (s *simulation) rankMain(r *Rank, program Program) {
 	program(r)
 	r.lamport++
 	r.record(trace.KindFinalize, trace.NoPeer, 0, 0, trace.NoMsg, 0, trace.Stack{})
-	// The deferred handler marks the rank done and yields.
 }
 
 // loop is the discrete-event core: repeatedly perform the globally
@@ -585,9 +579,7 @@ func (s *simulation) loop() error {
 			s.deliver(s.events.pop())
 		default:
 			s.ready.pop()
-			next.status = statusRunning
-			next.resume <- struct{}{}
-			<-s.yielded
+			s.resume(next)
 		}
 	}
 }
@@ -776,15 +768,22 @@ func (s *simulation) schedule(msg *message, sendClock vtime.Time) {
 	}
 }
 
-// shutdown unwinds any rank goroutine that has not finished, so no
-// goroutines leak when a run ends early (deadlock, panic, budget).
+// resume runs r's coroutine until the rank yields or finishes.
+func (s *simulation) resume(r *Rank) {
+	r.status = statusRunning
+	s.stats.Switches++
+	r.co.next()
+}
+
+// shutdown unwinds every rank that has not finished when a run ends
+// early (deadlock, panic, budget, cancellation): resumed with abortFlag
+// set, the rank unwinds through abortSentinel and its coroutine parks,
+// ready for the next run.
 func (s *simulation) shutdown() {
 	s.abortFlag = true
 	for _, r := range s.ranks {
 		for r.status != statusDone {
-			r.status = statusRunning
-			r.resume <- struct{}{}
-			<-s.yielded
+			s.resume(r)
 		}
 	}
 	// Record the true final time from rank clocks.

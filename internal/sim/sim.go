@@ -1,10 +1,10 @@
 // Package sim is a deterministic discrete-event simulation of an MPI-like
 // message-passing runtime. It is the substrate this repository uses in
 // place of a real MPI installation: rank programs are ordinary Go
-// functions run on goroutines, but exactly one rank executes at a time,
-// coupled to a virtual-time scheduler that always advances the globally
-// earliest action. Given the same Config (including Seed) a run is
-// bit-reproducible.
+// functions, each run on its own coroutine, and exactly one rank
+// executes at a time, coupled to a virtual-time scheduler that always
+// advances the globally earliest action. Given the same Config
+// (including Seed) a run is bit-reproducible.
 //
 // Non-determinism is modelled, not incidental — exactly as in ANACIN-X's
 // communication-pattern benchmarks: with probability NDPercent/100 each
@@ -245,6 +245,11 @@ type Stats struct {
 	Delayed int
 	// Events is the number of trace events recorded.
 	Events int
+	// Switches counts the scheduler's resumes of rank coroutines.
+	Switches int
+	// FastYields counts yields that kept running because the rank was
+	// the scheduler's next pick anyway, so no switch happened.
+	FastYields int
 }
 
 // Run executes program on every rank under cfg and returns the recorded
@@ -258,7 +263,7 @@ func Run(cfg Config, meta trace.Meta, program Program) (*trace.Trace, *Stats, er
 
 // RunContext is Run with cancellation: when ctx is cancelled the
 // simulation aborts at the next scheduler step (or fast-path yield),
-// unwinds every rank goroutine, and returns an error satisfying
+// unwinds every rank, and returns an error satisfying
 // errors.Is(err, ctx.Err()). A cancelled run yields no trace — partial
 // traces would not be reproducible artifacts.
 func RunContext(ctx context.Context, cfg Config, meta trace.Meta, program Program) (*trace.Trace, *Stats, error) {

@@ -17,10 +17,13 @@ const maxStackDepth = 32
 var framePrefixesToTrim = []string{
 	"runtime.",
 	"testing.",
+	// Each rank runs on an iter.Pull coroutine.
+	"iter.",
 	// Simulator machinery is all methods on these receivers; free
 	// functions in package sim (e.g. test programs) are kept.
 	"github.com/anacin-go/anacinx/internal/sim.(*Rank).",
 	"github.com/anacin-go/anacinx/internal/sim.(*simulation).",
+	"github.com/anacin-go/anacinx/internal/sim.(*rankCoro).",
 }
 
 // Stack is an interned callstack: a shared immutable frame slice
